@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -138,21 +139,28 @@ type runParams struct {
 	// timeout applies per attempt instead of once per cluster.
 	retries int
 	backoff time.Duration
-	// reuse, when non-nil, marks an incremental reverify: it is consulted
-	// once per cluster, serially, before the worker pool starts, and a
-	// non-nil result is spliced into the run verbatim instead of being
-	// recomputed. The hook must return results bit-equal to what analysis
-	// would produce — the engine assembles spliced and fresh results through
-	// the same code path precisely so the report stays byte-identical to a
-	// cold run.
-	reuse func(cl *prune.Cluster) *clusterResult
+	// splice, when non-nil, marks an incremental reverify (reverify.go).
+	splice *splicePlan
+}
+
+// splicePlan is an incremental reverify's input to the engine: the edited
+// design's clusters, pruned once by the caller (which signs them before the
+// run), and a reuse hook the materialized front end consults serially, in
+// cluster order, with each cluster's index. A non-nil result is spliced into
+// the run verbatim instead of being recomputed. The hook must return results
+// bit-equal to what analysis would produce — the engine assembles spliced
+// and fresh results through the same code path precisely so the report
+// stays byte-identical to a cold run.
+type splicePlan struct {
+	clusters []*prune.Cluster
+	reuse    func(i int) *clusterResult
 }
 
 // clusterUnit is everything cluster analysis reads: the pruned cluster plus
-// the parasitics/design its indices resolve against. The materialized path
-// passes the whole-chip views; the streaming path passes component-scoped
-// views whose local numbering reproduces the global computation bit for bit
-// (see internal/prune stream.go).
+// the parasitics/design its indices resolve against. The materialized front
+// end passes the whole-chip views; the streamed front end passes
+// component-scoped views whose local numbering reproduces the global
+// computation bit for bit (see internal/prune stream.go).
 type clusterUnit struct {
 	cl  *prune.Cluster
 	par *extract.Parasitics
@@ -179,13 +187,18 @@ type clusterResult struct {
 // is recorded as Unverified in the report's Diagnostics instead of aborting
 // the run. Cancelling ctx aborts promptly with ctx's error.
 func (v *Verifier) RunContext(ctx context.Context) (*Report, error) {
-	return v.runEngine(ctx, runParams{
+	return v.runEngine(ctx, v.runParams())
+}
+
+// runParams resolves the configured execution policy of a run.
+func (v *Verifier) runParams() runParams {
+	return runParams{
 		workers: v.cfg.Workers,
 		strict:  v.cfg.Strict,
 		timeout: v.cfg.ClusterTimeout,
 		retries: v.cfg.RungRetries,
 		backoff: v.cfg.RungRetryBackoff,
-	})
+	}
 }
 
 // baseGlitchOptions maps the run config onto the glitch engine's options —
@@ -262,124 +275,260 @@ func (v *Verifier) recordCacheDeltas(cs cacheState, diag *Diagnostics, col *Metr
 	}
 }
 
-func (v *Verifier) runEngine(ctx context.Context, p runParams) (*Report, error) {
-	if v.src != nil {
-		return v.runStreamEngine(ctx, p)
+// engineUnit is one cluster travelling from a front end through the worker
+// pool to report assembly: the analysis views plus the slot its result lands
+// in. The emitter appends every unit to its list before sending it, the
+// worker writes res after receiving, and assembly reads after the pool
+// drains — each handoff carries the needed happens-before edge.
+type engineUnit struct {
+	// victim is the global victim index: the report's cluster order.
+	victim int
+	// size is the pruned cluster size, captured at emission because unit is
+	// released once the worker is done with it — holding every streamed
+	// component's parasitics until report assembly would put peak memory
+	// right back at O(chip).
+	size int
+	unit clusterUnit
+	res  *clusterResult
+}
+
+// emitter is the engine's intake, shared by both front ends. It records
+// every unit in emission order and hands it to the worker pool, blocking
+// while every worker is busy — which is what bounds in-flight memory under a
+// fast streamed producer. A unit that arrives settled (a reverify reuse hit)
+// skips the pool.
+type emitter struct {
+	ctx   context.Context
+	ch    chan<- *engineUnit
+	units []*engineUnit
+	// settled counts the units that arrived with a result.
+	settled int64
+}
+
+func (e *emitter) emit(u *engineUnit) error {
+	e.units = append(e.units, u)
+	if u.res != nil {
+		e.settled++
+		return nil
 	}
-	col := v.cfg.Collector
-	pOpt := v.pruneOptions()
-	pruneSpan := col.Start(obs.PhasePrune)
-	stats := prune.ComputeStats(v.par, pOpt)
-	clusters := prune.Clusters(v.par, pOpt)
-	pruneSpan.End()
-	baseOpts := v.baseGlitchOptions()
-	cs := v.setupEngineCaches(&baseOpts)
-	workers := p.workers
+	select {
+	case <-e.ctx.Done():
+		return e.ctx.Err()
+	case e.ch <- u:
+		return nil
+	}
+}
+
+// poolSize resolves a configured worker count (≤ 0 means GOMAXPROCS)
+// against n jobs: at most n workers, at least one.
+func poolSize(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(clusters) {
-		workers = len(clusters)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	return max(1, min(workers, n))
+}
 
-	start := time.Now() //xtlint:wallclock feeds Diagnostics.WallTime only, a run-dependent diagnostic
-	results := make([]*clusterResult, len(clusters))
-	// Incremental reverify: settle reusable clusters serially up front, then
-	// hand only the remainder to the pool. The workers clamp above stays
-	// against the full cluster count — Diagnostics.Workers appears in the
-	// report, and a spliced report must match a cold run's byte for byte.
-	pending := make([]int, 0, len(clusters))
-	var reused int64
-	for i, cl := range clusters {
-		if p.reuse != nil {
-			if r := p.reuse(cl); r != nil {
-				results[i] = r
-				reused++
-				continue
-			}
-		}
-		pending = append(pending, i)
+// ingest is what a front end reports besides its units: the design header,
+// the raw (pre-pruning) component population and, when streamed, the peak
+// extraction frontier.
+type ingest struct {
+	name         string
+	netCount     int
+	frontierPeak int
+	// rawClusters, rawSum and rawMax accumulate like prune.ComputeStats:
+	// components of ≥ 2 nets only, integer-valued float sums (exact, so
+	// accumulation order is irrelevant).
+	rawClusters, rawMax int
+	rawSum              float64
+}
+
+// addRaw counts one raw component of n nets.
+func (in *ingest) addRaw(n int) {
+	if n >= 2 {
+		in.rawClusters++
+		in.rawSum += float64(n)
+		in.rawMax = max(in.rawMax, n)
 	}
+}
+
+// feedMaterialized is the materialized front end: it prunes the whole-chip
+// parasitics once — raw components for the report's pre-pruning statistics,
+// pruned clusters as the units — and emits the units in victim order. A
+// splice brings its own already-pruned clusters, and its reuse hits land
+// settled.
+func (v *Verifier) feedMaterialized(em *emitter, splice *splicePlan) (ingest, error) {
+	in := ingest{name: v.des.Name, netCount: len(v.des.Nets)}
+	span := v.cfg.Collector.Start(obs.PhasePrune)
+	for _, g := range prune.RawClusters(v.par) {
+		in.addRaw(len(g))
+	}
+	var clusters []*prune.Cluster
+	if splice != nil {
+		clusters = splice.clusters
+	} else {
+		clusters = prune.Clusters(v.par, v.pruneOptions())
+	}
+	span.End()
+	for i, cl := range clusters {
+		u := &engineUnit{victim: cl.Victim, size: cl.Size(), unit: clusterUnit{cl: cl, par: v.par, des: v.des}}
+		if splice != nil {
+			u.res = splice.reuse(i)
+		}
+		if err := em.emit(u); err != nil {
+			return in, err
+		}
+	}
+	return in, nil
+}
+
+// runEngine is the one cluster-verification engine behind materialized,
+// streamed and spliced runs. The front end emits cluster units on the
+// calling goroutine while the worker pool analyzes them; the results are
+// then put back into global victim order and assembled into the report, so
+// every mode — serial or parallel, cold or warm cache — renders the same
+// bytes.
+func (v *Verifier) runEngine(ctx context.Context, p runParams) (*Report, error) {
+	col := v.cfg.Collector
+	baseOpts := v.baseGlitchOptions()
+	cs := v.setupEngineCaches(&baseOpts)
+	workers := poolSize(p.workers, math.MaxInt)
+	start := time.Now() //xtlint:wallclock feeds Diagnostics.WallTime only, a run-dependent diagnostic
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	unitCh := make(chan *engineUnit)
 	var wg sync.WaitGroup
-	idxCh := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range idxCh {
+			for u := range unitCh {
 				if runCtx.Err() != nil {
 					continue // run aborted: leave the slot unattempted
 				}
 				col.TaskStarted()
-				res := v.analyzeCluster(runCtx, baseOpts, clusterUnit{cl: clusters[idx], par: v.par, des: v.des}, p)
+				u.res = v.analyzeCluster(runCtx, baseOpts, u.unit, p)
+				// Release the analysis views: once every cluster of a streamed
+				// component is analyzed, its mini design and parasitics are
+				// garbage. Report assembly only reads res and size.
+				u.unit = clusterUnit{}
 				col.TaskDone()
-				results[idx] = res
-				if p.strict && res.err != nil {
-					cancel() // fail fast: stop feeding and drain
+				if p.strict && u.res.err != nil {
+					cancel() // fail fast: stop the front end and drain
 				}
 			}
 		}()
 	}
-feed:
-	for _, i := range pending {
-		select {
-		case <-runCtx.Done():
-			break feed
-		case idxCh <- i:
-		}
+	em := &emitter{ctx: runCtx, ch: unitCh}
+	var (
+		in   ingest
+		ferr error
+	)
+	if v.src != nil {
+		in, ferr = v.feedStream(em)
+	} else {
+		in, ferr = v.feedMaterialized(em, p.splice)
 	}
-	close(idxCh)
+	close(unitCh)
 	wg.Wait()
 
 	// Caller cancellation or deadline wins over any per-cluster outcome.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// Back into global victim order. The materialized front end already
+	// emits in it; the streamed one emits in component close order. Victims
+	// are unique (each net closes in exactly one component).
+	units := em.units
+	sort.Slice(units, func(i, j int) bool { return units[i].victim < units[j].victim })
 	if p.strict {
 		// Report the earliest genuine failure in cluster order, exactly as
 		// the serial loop did; skip casualties of our own fail-fast cancel.
 		var firstAny error
-		for _, r := range results {
-			if r == nil || r.err == nil {
+		for _, u := range units {
+			if u.res == nil || u.res.err == nil {
 				continue
 			}
-			if !errors.Is(r.err, context.Canceled) {
-				return nil, r.err
+			if !errors.Is(u.res.err, context.Canceled) {
+				return nil, u.res.err
 			}
 			if firstAny == nil {
-				firstAny = r.err
+				firstAny = u.res.err
 			}
 		}
 		if firstAny != nil {
 			return nil, firstAny
 		}
 	}
+	if ferr != nil {
+		// A front-end failure: a typed parse, frontier or duplicate-name
+		// error, or the echo of our own fail-fast cancellation (whose cause
+		// was returned above).
+		return nil, ferr
+	}
 
+	// Diagnostics.Workers appears in the report, so it is clamped against
+	// the full cluster count — settled units included — in every mode: a
+	// streamed or spliced report must match a cold materialized run's byte
+	// for byte.
+	workers = poolSize(p.workers, len(units))
+	rep := v.assemble(in, units, workers, p.strict)
+	diag := rep.Diagnostics
+	diag.WallTime = time.Since(start) //xtlint:wallclock run-dependent diagnostic, excluded from report identity
+	v.recordCacheDeltas(cs, diag, col)
+	if v.src != nil {
+		col.Add(obs.CtrNetsStreamed, int64(in.netCount))
+		col.Add(obs.CtrClustersEmittedEager, int64(len(units))) // streamed units never arrive settled
+		col.Add(obs.CtrFrontierPeakNets, int64(in.frontierPeak))
+	}
+	if p.splice != nil {
+		col.Add(obs.CtrReverifyJobs, 1)
+		col.Add(obs.CtrClustersReused, em.settled)
+		col.Add(obs.CtrClustersRecomputed, int64(len(units))-em.settled)
+	}
+	if col != nil {
+		col.SetWorkers(workers)
+		col.SetWallTime(diag.WallTime)
+		diag.Metrics = col.Snapshot()
+	}
+	return rep, nil
+}
+
+// assemble builds the report from the front end's header and raw totals and
+// the victim-ordered units. Everything here — the pruning summary, the
+// outcome list, the serial trace merge, the screening section — walks units
+// in victim order, which is what makes the report and the aggregated counter
+// totals identical between serial, parallel, streamed and spliced runs.
+func (v *Verifier) assemble(in ingest, units []*engineUnit, workers int, strict bool) *Report {
 	rep := &Report{
-		DesignName: v.des.Name,
-		NetCount:   len(v.des.Nets),
+		DesignName: in.name,
+		NetCount:   in.netCount,
 		Prune: PruneSummary{
-			RawMeanClusterNets:    stats.RawMeanSize,
-			RawMaxClusterNets:     stats.RawMaxSize,
-			PrunedMeanClusterNets: stats.PrunedMeanSize,
-			PrunedMaxClusterNets:  stats.PrunedMaxSize,
-			ClustersAnalyzed:      stats.PrunedClusters,
+			RawMaxClusterNets: in.rawMax,
+			ClustersAnalyzed:  len(units),
 		},
 	}
-	diag := &Diagnostics{Workers: workers, Strict: p.strict}
-	for _, r := range results {
+	if in.rawClusters > 0 {
+		rep.Prune.RawMeanClusterNets = in.rawSum / float64(in.rawClusters)
+	}
+	// Pruned sizes are integers, so the float sum is exact and matches
+	// prune.ComputeStats bit for bit.
+	var prunedSum float64
+	for _, u := range units {
+		prunedSum += float64(u.size)
+		rep.Prune.PrunedMaxClusterNets = max(rep.Prune.PrunedMaxClusterNets, u.size)
+	}
+	if len(units) > 0 {
+		rep.Prune.PrunedMeanClusterNets = prunedSum / float64(len(units))
+	}
+	diag := &Diagnostics{Workers: workers, Strict: strict}
+	col := v.cfg.Collector
+	for _, u := range units {
+		r := u.res
 		if r == nil {
 			continue
 		}
 		rep.AnalyzedVictims++
 		diag.Clusters = append(diag.Clusters, r.outcome)
-		// Serial, cluster-order merge: this is what makes the aggregated
-		// counter totals identical between serial and Workers=N runs.
 		col.MergeTrace(r.outcome.Victim, r.outcome.Stage.String(), r.trace)
 		if r.outcome.Err != nil {
 			diag.Unverified++
@@ -400,27 +549,13 @@ feed:
 			SafetyFactor: v.cfg.ScreenSafetyFactor,
 			MarginV:      v.cfg.GlitchThresholdFrac * Vdd,
 		}
-		// Victim (cluster) order, like Diagnostics.Clusters — deterministic
-		// and identical between serial and parallel runs.
-		for _, r := range results {
-			if r != nil && r.outcome.Stage == StageScreened {
+		for _, u := range units {
+			if u.res != nil && u.res.outcome.Stage == StageScreened {
 				scr.Screened++
-				scr.Clusters = append(scr.Clusters, ScreenedCluster{Victim: r.outcome.Victim, BoundV: r.outcome.ScreenBoundV})
+				scr.Clusters = append(scr.Clusters, ScreenedCluster{Victim: u.res.outcome.Victim, BoundV: u.res.outcome.ScreenBoundV})
 			}
 		}
 		rep.Screening = scr
-	}
-	diag.WallTime = time.Since(start) //xtlint:wallclock run-dependent diagnostic, excluded from report identity
-	v.recordCacheDeltas(cs, diag, col)
-	if p.reuse != nil {
-		col.Add(obs.CtrReverifyJobs, 1)
-		col.Add(obs.CtrClustersReused, reused)
-		col.Add(obs.CtrClustersRecomputed, int64(len(clusters))-reused)
-	}
-	if col != nil {
-		col.SetWorkers(workers)
-		col.SetWallTime(diag.WallTime)
-		diag.Metrics = col.Snapshot()
 	}
 	rep.Diagnostics = diag
 	sort.Slice(rep.Violations, func(i, j int) bool {
@@ -429,7 +564,7 @@ feed:
 		}
 		return rep.Violations[i].Victim < rep.Violations[j].Victim
 	})
-	return rep, nil
+	return rep
 }
 
 // analyzeCluster runs one cluster down the ladder (or just the fast path in
@@ -440,6 +575,9 @@ func (v *Verifier) analyzeCluster(ctx context.Context, baseOpts glitch.Options, 
 	victim := u.des.Nets[cl.Victim].Name
 	tr := v.cfg.Collector.NewTrace()
 	res := &clusterResult{outcome: ClusterOutcome{Victim: victim, CouplingF: cl.KeptF}, trace: tr}
+	defer func() {
+		res.outcome.WallTime = time.Since(start) //xtlint:wallclock WallTime is a run-dependent diagnostic, excluded from report identity
+	}()
 	// With retries disabled one deadline budget spans the whole ladder (the
 	// historical contract); with retries enabled each attempt gets a fresh
 	// budget, created inside attemptStage.
@@ -464,7 +602,6 @@ func (v *Verifier) analyzeCluster(ctx context.Context, baseOpts glitch.Options, 
 		if !expired {
 			if bound, ok := v.screenCluster(u, victim, tr); ok {
 				res.outcome.Stage = StageScreened
-				res.outcome.WallTime = time.Since(start) //xtlint:wallclock WallTime is a run-dependent diagnostic, excluded from report identity
 				res.outcome.ScreenBoundV = bound
 				tr.Add(stageCounter(StageScreened), 1)
 				return res
@@ -481,7 +618,6 @@ func (v *Verifier) analyzeCluster(ctx context.Context, baseOpts glitch.Options, 
 		if err == nil {
 			res.outcome.Stage = stage
 			res.outcome.Attempts = len(attempts) + 1
-			res.outcome.WallTime = time.Since(start) //xtlint:wallclock WallTime is a run-dependent diagnostic, excluded from report identity
 			res.outcome.RecheckErr = recheckErr
 			res.violation = viol
 			tr.Add(stageCounter(stage), 1)
@@ -494,7 +630,6 @@ func (v *Verifier) analyzeCluster(ctx context.Context, baseOpts glitch.Options, 
 			res.err = err
 			res.outcome.Stage = StageUnverified
 			res.outcome.Attempts = 1
-			res.outcome.WallTime = time.Since(start) //xtlint:wallclock WallTime is a run-dependent diagnostic, excluded from report identity
 			res.outcome.Err = &ClusterError{Victim: victim, Stage: stage,
 				Attempts: []Attempt{{Stage: stage, Err: err}}}
 			tr.Add(obs.CtrFallbackUnverified, 1)
@@ -517,7 +652,6 @@ func (v *Verifier) analyzeCluster(ctx context.Context, baseOpts glitch.Options, 
 	}
 	res.outcome.Stage = StageUnverified
 	res.outcome.Attempts = len(attempts)
-	res.outcome.WallTime = time.Since(start) //xtlint:wallclock WallTime is a run-dependent diagnostic, excluded from report identity
 	res.outcome.Err = &ClusterError{Victim: victim, Stage: lastStage, Attempts: attempts}
 	tr.Add(obs.CtrFallbackUnverified, 1)
 	return res

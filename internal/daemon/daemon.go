@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"xtverify"
+	"xtverify/internal/deflite"
 )
 
 // Options configures a Server. The zero value is usable: defaults are
@@ -572,6 +573,12 @@ func (s *Server) runJob(ctx context.Context, req *VerifyRequest, cfg xtverify.Co
 
 	rep, err := v.RunContext(ctx)
 	s.foldCounters(cfg.Collector)
+	var pe *deflite.ParseError
+	if errors.As(err, &pe) {
+		// A streamed job parses its DEF during the run; malformed input
+		// there is still the client's fault.
+		return nil, nil, http.StatusBadRequest, fmt.Errorf("parse def: %w", err)
+	}
 	if err != nil {
 		return nil, nil, http.StatusInternalServerError, err
 	}

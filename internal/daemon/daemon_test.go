@@ -558,6 +558,28 @@ func TestStreamJobByteIdentity(t *testing.T) {
 	}
 }
 
+// TestDuplicateNetDEFBadRequest: a DEF with two nets of one name is
+// malformed client input — HTTP 400 in both ingest modes, never a panic or a
+// 500.
+func TestDuplicateNetDEFBadRequest(t *testing.T) {
+	faultinject.LeakCheck(t)
+	def := tinyDEF(t)
+	// Rename the second NETS entry to the first's name.
+	at := strings.Index(def, "\nNETS ")
+	first := strings.Index(def[at:], "\n- ") + at + 3
+	second := strings.Index(def[first:], "\n- ") + first + 3
+	name := func(i int) string { return strings.Fields(def[i:])[0] }
+	dup := def[:second] + name(first) + def[second+len(name(second)):]
+
+	_, ts := newTestServer(t, Options{})
+	for _, stream := range []bool{false, true} {
+		resp, raw := postVerify(t, ts, &VerifyRequest{DEF: dup, Model: "fixed", CapRatioThreshold: 0.03, Stream: stream})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("stream=%t: status = %d, want 400: %s", stream, resp.StatusCode, raw)
+		}
+	}
+}
+
 // TestStreamJobBadRequests pins the validation: stream is DEF-only and
 // excludes timing windows.
 func TestStreamJobBadRequests(t *testing.T) {

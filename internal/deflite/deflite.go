@@ -17,6 +17,7 @@ package deflite
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -61,6 +62,13 @@ func (e *ParseError) Unwrap() error { return e.Err }
 // perr builds a ParseError with a formatted message.
 func perr(line int, format string, args ...any) *ParseError {
 	return &ParseError{Line: line, Msg: fmt.Sprintf(format, args...)}
+}
+
+// DuplicateNetError is the typed error for a second net named name. Read
+// returns it, and so does the verifier's streamed ingest, which tracks names
+// itself: a duplicate fails the same way in every ingest mode.
+func DuplicateNetError(name string) *ParseError {
+	return perr(0, "duplicate net %q", name)
 }
 
 // Write serializes the design.
@@ -185,15 +193,19 @@ func (m *materializeSink) StartDesign(name string) error {
 }
 
 func (m *materializeSink) AddNet(n *design.Net) error {
+	if _, dup := (*m.d).NetByName(n.Name); dup {
+		return DuplicateNetError(n.Name)
+	}
 	(*m.d).AddNet(n)
 	return nil
 }
 
 // StreamRead parses a DEF-lite file incrementally, handing each net to sink
 // the moment its terminating ";" (or the section END) is seen. A sink error
-// aborts the parse and is returned verbatim. Unlike Read it performs no
-// whole-design validation — per-net checks are the sink's responsibility
-// (design.ValidateNet).
+// aborts the parse and is returned verbatim, except that a sink's own
+// *ParseError without a line (a duplicate net name) is pinned to the line
+// the net starts on. Unlike Read it performs no whole-design validation —
+// per-net checks are the sink's responsibility (design.ValidateNet).
 func StreamRead(r io.Reader, sink Sink) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -203,6 +215,7 @@ func StreamRead(r io.Reader, sink Sink) error {
 		section  string
 		comps    = map[string]compInfo{}
 		curNet   *design.Net
+		netLine  int
 		lineNo   int
 	)
 	toUM := func(tok string) (float64, error) {
@@ -216,7 +229,12 @@ func StreamRead(r io.Reader, sink Sink) error {
 		if curNet != nil && started {
 			n := curNet
 			curNet = nil
-			return sink.AddNet(n)
+			err := sink.AddNet(n)
+			var pe *ParseError
+			if errors.As(err, &pe) && pe.Line == 0 {
+				pe.Line = netLine
+			}
+			return err
 		}
 		return nil
 	}
@@ -274,6 +292,7 @@ func StreamRead(r io.Reader, sink Sink) error {
 				return err
 			}
 			curNet = &design.Net{Name: f[1]}
+			netLine = lineNo
 			// Pin connections: ( inst pin ) groups on the same line.
 			for i := 2; i+3 < len(f)+1; {
 				if f[i] != "(" {

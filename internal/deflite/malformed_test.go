@@ -97,6 +97,14 @@ func TestMalformedDEFTypedErrors(t *testing.T) {
 			wantMsg:  "unexpected",
 		},
 		{
+			// design.AddNet panics on a duplicate name; the reader must
+			// refuse it first, pinned to the second net's line.
+			name:     "duplicate net name",
+			src:      header + comp + "NETS 2 ;\n- a ( u1 Z )\n- a ( u1 Z )\nEND NETS\n",
+			wantLine: 9,
+			wantMsg:  `duplicate net "a"`,
+		},
+		{
 			name:    "missing DESIGN",
 			src:     "VERSION 5.8 ;\n",
 			wantMsg: "no DESIGN statement",

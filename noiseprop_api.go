@@ -52,23 +52,11 @@ func (v *Verifier) TraceGlitchContext(ctx context.Context, victim string) (*Prop
 	if !ok {
 		return nil, fmt.Errorf("xtverify: unknown net %q", victim)
 	}
-	pOpt := prune.Options{
-		CapRatioThreshold: v.cfg.CapRatioThreshold,
-		MinCouplingF:      0.5e-15,
-		UseTimingWindows:  v.cfg.UseTimingWindows,
-		MaxAggressors:     v.cfg.MaxAggressors,
-	}
-	cl := prune.PruneVictim(v.par, net.Index, pOpt)
+	cl := prune.PruneVictim(v.par, net.Index, v.pruneOptions())
 	if len(cl.Aggressors) == 0 {
 		return nil, fmt.Errorf("xtverify: net %q has no retained aggressors", victim)
 	}
-	eng := glitch.NewEngine(v.par, glitch.Options{
-		Model:               v.cfg.Model.kind(),
-		FixedOhms:           v.cfg.FixedOhms,
-		Order:               v.cfg.ReducedOrder,
-		UseTimingWindows:    v.cfg.UseTimingWindows,
-		UseLogicCorrelation: v.cfg.UseLogicCorrelation,
-	})
+	eng := glitch.NewEngine(v.par, v.baseGlitchOptions())
 	// Worse polarity wins.
 	rise, err := eng.AnalyzeGlitchContext(ctx, cl, true)
 	if err != nil {

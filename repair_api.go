@@ -61,14 +61,7 @@ func (v *Verifier) AdviseRepairContext(ctx context.Context, victim string) (*Rep
 	if len(cl.Aggressors) == 0 {
 		return nil, fmt.Errorf("xtverify: net %q has no retained aggressors", victim)
 	}
-	eng := glitch.NewEngine(v.par, glitch.Options{
-		Model:               v.cfg.Model.kind(),
-		FixedOhms:           v.cfg.FixedOhms,
-		Order:               v.cfg.ReducedOrder,
-		UseTimingWindows:    v.cfg.UseTimingWindows,
-		UseLogicCorrelation: v.cfg.UseLogicCorrelation,
-		DisablePrepared:     v.cfg.DisablePreparedTransients,
-	})
+	eng := glitch.NewEngine(v.par, v.baseGlitchOptions())
 	// Analyze the worse polarity first. The pair call shares one reduction
 	// and prepared diagonalization between the polarities, and the repair
 	// sweep below reuses the same engine memo.

@@ -10,9 +10,9 @@
 //     consumed — the pruned cluster's MNA circuit inputs, driver and
 //     receiver cells, timing windows, logic correlations and coupling
 //     weights;
-//  2. Reverify, called on a verifier for the edited design, recomputes the
-//     cluster set, compares fresh signatures against the base, and feeds a
-//     reuse hook into the engine: matching clusters take their recorded
+//  2. Reverify, called on a verifier for the edited design, prunes it once,
+//     compares fresh signatures against the base, and hands the clusters
+//     and a reuse hook to the engine: matching clusters take their recorded
 //     outcome verbatim, changed (or new) clusters run the normal ladder;
 //  3. the engine assembles the spliced report through the exact code path a
 //     cold run uses, so the output is byte-identical to re-running the
@@ -37,12 +37,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
+	"xtverify/internal/obs"
 	"xtverify/internal/prune"
 )
 
@@ -67,9 +67,10 @@ func (c Config) CanonicalConfigKey() string {
 	return b.String()
 }
 
-// pruneOptions is the one place the engine's clustering policy is spelled
-// out; runEngine, the repair advisor and the reverify signatures must all
-// prune identically or their cluster sets would diverge.
+// pruneOptions is the one place the clustering policy is spelled out. Both
+// engine front ends (the materialized prune and the streamed clusterer), the
+// reverify splice, the repair advisor and the timing and noise-propagation
+// APIs must all prune identically or their cluster sets would diverge.
 func (v *Verifier) pruneOptions() prune.Options {
 	return prune.Options{
 		CapRatioThreshold: v.cfg.CapRatioThreshold,
@@ -166,13 +167,7 @@ func (v *Verifier) clusterSignature(cl *prune.Cluster) string {
 // and it is a splice's dominant fixed cost.
 func (v *Verifier) signClusters(clusters []*prune.Cluster) []string {
 	out := make([]string, len(clusters))
-	workers := v.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(clusters) {
-		workers = len(clusters)
-	}
+	workers := poolSize(v.cfg.Workers, len(clusters))
 	if workers < 2 {
 		for i, cl := range clusters {
 			out[i] = v.clusterSignature(cl)
@@ -298,20 +293,18 @@ func (v *Verifier) ReverifyContext(ctx context.Context, base *BaseRun) (*Report,
 	}
 	stats := &ReverifyStats{}
 	seen := make(map[string]bool, len(base.entries))
-	// Sign the edited design's clusters up front, in parallel: the engine
-	// applies the reuse hook serially, and serial signing would cost more
-	// than the recompute it saves. The hook looks signatures up by victim —
-	// cluster extraction is deterministic, so this pre-pass sees the same
-	// cluster set runEngine will.
-	fresh := make(map[string]string)
+	// Prune the edited design once and sign its clusters up front, in
+	// parallel: the engine applies the reuse hook serially, and serial
+	// signing would cost more than the recompute it saves. The engine then
+	// analyzes exactly these clusters, so signature i belongs to cluster i.
+	span := v.cfg.Collector.Start(obs.PhasePrune)
 	clusters := prune.Clusters(v.par, v.pruneOptions())
-	for i, sig := range v.signClusters(clusters) {
-		fresh[v.des.Nets[clusters[i].Victim].Name] = sig
-	}
-	// The engine applies the hook serially before the worker pool, so plain
+	span.End()
+	sigs := v.signClusters(clusters)
+	// The engine calls the hook serially on the emitting goroutine, so plain
 	// map/slice state is safe here.
-	reuse := func(cl *prune.Cluster) *clusterResult {
-		victim := v.des.Nets[cl.Victim].Name
+	reuse := func(i int) *clusterResult {
+		victim := v.des.Nets[clusters[i].Victim].Name
 		seen[victim] = true
 		ent := base.entries[victim]
 		if ent == nil {
@@ -330,11 +323,7 @@ func (v *Verifier) ReverifyContext(ctx context.Context, base *BaseRun) (*Report,
 			stats.StaleVictims = append(stats.StaleVictims, victim)
 			return nil
 		}
-		sig, ok := fresh[victim]
-		if !ok {
-			sig = v.clusterSignature(cl)
-		}
-		if sig != ent.sig {
+		if sigs[i] != ent.sig {
 			// A mismatch means we cannot prove the cluster unchanged —
 			// recompute, never guess. The base's recorded result for this
 			// victim is superseded.
@@ -350,14 +339,9 @@ func (v *Verifier) ReverifyContext(ctx context.Context, base *BaseRun) (*Report,
 		}
 		return res
 	}
-	rep, err := v.runEngine(ctx, runParams{
-		workers: v.cfg.Workers,
-		strict:  v.cfg.Strict,
-		timeout: v.cfg.ClusterTimeout,
-		retries: v.cfg.RungRetries,
-		backoff: v.cfg.RungRetryBackoff,
-		reuse:   reuse,
-	})
+	p := v.runParams()
+	p.splice = &splicePlan{clusters: clusters, reuse: reuse}
+	rep, err := v.runEngine(ctx, p)
 	if err != nil {
 		return nil, nil, err
 	}

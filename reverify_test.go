@@ -171,6 +171,8 @@ func TestReverifyIdentity(t *testing.T) {
 			if got := identityText(t, rep); got != want {
 				t.Errorf("spliced report differs from cold run:\n--- cold ---\n%s--- spliced ---\n%s", want, got)
 			}
+			checkPruneOracle(t, "cold", coldRep, coldV)
+			checkPruneOracle(t, "spliced", rep, editV)
 			if stats.ClustersReused == 0 {
 				t.Errorf("single-driver upsize reused nothing: %+v", stats)
 			}

@@ -1,10 +1,12 @@
-// stream_ingest.go is the bounded-memory streaming front of the verifier
-// (Config.StreamIngest): nets flow from a StreamSource through the
-// incremental extraction kernel (internal/extract Streamer) into the
-// streaming clusterer (internal/prune StreamClusterer), and every coupled
-// cluster is handed to the worker pool the moment its component closes —
-// while ingest is still running. Peak memory is O(largest component +
-// frontier) instead of O(chip).
+// stream_ingest.go is the streamed front end of the verifier
+// (Config.StreamIngest). The engine (runEngine, engine.go) has two front
+// ends feeding one worker pool and one report assembly: the materialized
+// one prunes a whole-chip extraction once, this one never builds the chip.
+// Nets flow from a StreamSource through the incremental extraction kernel
+// (internal/extract Streamer) into the streaming clusterer (internal/prune
+// StreamClusterer), and every coupled cluster is emitted into the worker
+// pool the moment its component closes — while ingest is still running.
+// Peak memory is O(largest component + frontier) instead of O(chip).
 //
 // The report is byte-identical to a materialized run's. Three facts carry
 // the proof, each pinned by its own layer:
@@ -16,20 +18,17 @@
 //     victims, renumbered by a monotone map, so pruning and circuit
 //     assembly visit bit-identical values in identical order (see
 //     internal/prune stream.go);
-//   - result assembly sorts eagerly-emitted clusters back into global
-//     victim order — the exact order the materialized engine iterates —
-//     before any report field or merged counter is produced.
+//   - the engine sorts eagerly-emitted clusters back into global victim
+//     order — the order the materialized front end emits in — before any
+//     report field or merged counter is produced.
 package xtverify
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"io"
-	"runtime"
-	"sort"
-	"sync"
-	"time"
 
 	"xtverify/internal/deflite"
 	"xtverify/internal/design"
@@ -114,57 +113,42 @@ func (s defStreamSource) Stream(ctx context.Context, sink StreamSink) error {
 	return deflite.StreamRead(s.r, sink)
 }
 
-// streamUnit is one eagerly-emitted cluster travelling from the ingest
-// goroutine to a worker: the component-scoped analysis views plus the slot
-// the worker's result lands in. The producer appends every unit to its
-// order list before sending, the consumer writes res after receiving, and
-// assembly reads after the pool drains — each handoff carries the needed
-// happens-before edge.
-type streamUnit struct {
-	globalVictim int
-	// size is the pruned cluster size, captured at emission because unit is
-	// released once the worker is done with it — holding every component's
-	// parasitics until report assembly would put peak memory right back at
-	// O(chip).
-	size int
-	unit clusterUnit
-	res  *clusterResult
-}
-
-// streamIngestor is the StreamSink the engine mounts in front of the worker
-// pool: extract → cluster → emit, plus the raw-population statistics the
-// materialized path gets from prune.ComputeStats.
+// streamIngestor is the StreamSink behind the streamed front end: extract →
+// cluster → emit, plus the raw-population statistics the materialized front
+// end gets from prune.RawClusters.
 type streamIngestor struct {
-	runCtx context.Context
-	str    *extract.Streamer
-	sc     *prune.StreamClusterer
-	unitCh chan<- *streamUnit
-
-	name     string
-	netCount int
-	units    []*streamUnit
-	emitted  int64
-
-	// Raw (pre-pruning) component statistics, accumulated exactly like
-	// prune.ComputeStats: components of ≥ 2 nets only, integer-valued
-	// float sums (exact, so accumulation order is irrelevant).
-	rawClusters int
-	rawMeanSum  float64
-	rawMax      int
+	em  *emitter
+	str *extract.Streamer
+	sc  *prune.StreamClusterer
+	in  ingest
+	// names holds a 64-bit hash of every net name delivered so far, so a
+	// duplicate name fails the run even when its first occurrence retired
+	// long ago (the clusterer only sees names within an open component). A
+	// hash collision fails closed: a spurious duplicate-name error, never a
+	// silently merged net. hash is the FNV-1a hasher behind it.
+	names map[uint64]struct{}
+	hash  hash.Hash64
 }
 
 func (s *streamIngestor) StartDesign(name string) error {
-	s.name = name
+	s.in.name = name
 	s.sc.SetDesignName(name)
 	return nil
 }
 
 func (s *streamIngestor) AddNet(n *design.Net) error {
-	if err := s.runCtx.Err(); err != nil {
+	if err := s.em.ctx.Err(); err != nil {
 		return err
 	}
-	n.Index = s.netCount
-	s.netCount++
+	s.hash.Reset()
+	s.hash.Write([]byte(n.Name))
+	h := s.hash.Sum64()
+	if _, dup := s.names[h]; dup {
+		return deflite.DuplicateNetError(n.Name)
+	}
+	s.names[h] = struct{}{}
+	n.Index = s.in.netCount
+	s.in.netCount++
 	rc, final, retired, err := s.str.AddNet(n)
 	if err != nil {
 		return err
@@ -182,29 +166,18 @@ func (s *streamIngestor) MarkComplementary(a, b int) {
 }
 
 // emit records each closed component's raw statistics and hands its pruned
-// clusters to the pool, blocking when every worker is busy — which is what
-// bounds in-flight memory under a fast producer.
+// clusters to the engine.
 func (s *streamIngestor) emit(closed []*prune.ClosedComponent) error {
 	for _, c := range closed {
-		if n := len(c.Members); n >= 2 {
-			s.rawClusters++
-			s.rawMeanSum += float64(n)
-			if n > s.rawMax {
-				s.rawMax = n
-			}
-		}
+		s.in.addRaw(len(c.Members))
 		for _, scl := range c.Clusters {
-			su := &streamUnit{
-				globalVictim: scl.GlobalVictim,
-				size:         scl.Cluster.Size(),
-				unit:         clusterUnit{cl: scl.Cluster, par: scl.Par, des: scl.Par.Design},
+			u := &engineUnit{
+				victim: scl.GlobalVictim,
+				size:   scl.Cluster.Size(),
+				unit:   clusterUnit{cl: scl.Cluster, par: scl.Par, des: scl.Par.Design},
 			}
-			s.units = append(s.units, su)
-			select {
-			case <-s.runCtx.Done():
-				return s.runCtx.Err()
-			case s.unitCh <- su:
-				s.emitted++
+			if err := s.em.emit(u); err != nil {
+				return err
 			}
 		}
 	}
@@ -228,205 +201,27 @@ func (s *streamIngestor) finish() error {
 	return err
 }
 
-// runStreamEngine is runEngine's streaming twin: ingest runs on the calling
-// goroutine and overlaps the worker pool, then results are sorted back into
-// victim order and assembled through the exact same accounting as the
-// materialized engine — byte-identical reports, serial or parallel, cold or
-// warm cache.
-func (v *Verifier) runStreamEngine(ctx context.Context, p runParams) (*Report, error) {
-	if p.reuse != nil {
-		return nil, fmt.Errorf("%w: incremental reverify needs a materialized base design", ErrStreamIngest)
-	}
-	if v.cfg.UseTimingWindows {
-		return nil, fmt.Errorf("%w: timing windows need whole-design STA annotation", ErrStreamIngest)
-	}
-	col := v.cfg.Collector
-	baseOpts := v.baseGlitchOptions()
-	cs := v.setupEngineCaches(&baseOpts)
-	workers := p.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	start := time.Now() //xtlint:wallclock feeds Diagnostics.WallTime only, a run-dependent diagnostic
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	unitCh := make(chan *streamUnit)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for su := range unitCh {
-				if runCtx.Err() != nil {
-					continue // run aborted: leave the slot unattempted
-				}
-				col.TaskStarted()
-				su.res = v.analyzeCluster(runCtx, baseOpts, su.unit, p)
-				// Release the component-scoped views: once every cluster of a
-				// component is analyzed, its mini design and parasitics are
-				// garbage. Report assembly only reads res and size.
-				su.unit = clusterUnit{}
-				col.TaskDone()
-				if p.strict && su.res.err != nil {
-					cancel() // fail fast: stop ingest and drain
-				}
-			}
-		}()
-	}
-
+// feedStream is the streamed front end: it runs the source through the
+// ingestor on the calling goroutine, so ingest overlaps the worker pool.
+// The whole parse+extract+cluster stage is timed as the prune phase.
+func (v *Verifier) feedStream(em *emitter) (ingest, error) {
 	slack := v.cfg.StreamFrontierSlackUM
 	if slack <= 0 {
 		slack = extract.DefaultFrontierSlackUM
 	}
-	ing := &streamIngestor{
-		runCtx: runCtx,
-		str:    extract.NewStreamer(extract.Tech025(), slack),
-		sc:     prune.NewStreamClusterer("", extract.Tech025(), v.pruneOptions()),
-		unitCh: unitCh,
+	s := &streamIngestor{
+		em:    em,
+		str:   extract.NewStreamer(extract.Tech025(), slack),
+		sc:    prune.NewStreamClusterer("", extract.Tech025(), v.pruneOptions()),
+		names: make(map[uint64]struct{}),
+		hash:  fnv.New64a(),
 	}
-	ingestSpan := col.Start(obs.PhasePrune)
-	serr := v.src.Stream(runCtx, ing)
-	if serr == nil {
-		serr = ing.finish()
+	span := v.cfg.Collector.Start(obs.PhasePrune)
+	err := v.src.Stream(em.ctx, s)
+	if err == nil {
+		err = s.finish()
 	}
-	ingestSpan.End()
-	close(unitCh)
-	wg.Wait()
-
-	// Caller cancellation or deadline wins over any per-cluster outcome.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Back into global victim order — the materialized engine's cluster
-	// order, which every report field and counter merge below assumes.
-	// Victims are unique (each net closes in exactly one component).
-	units := ing.units
-	sort.Slice(units, func(i, j int) bool { return units[i].globalVictim < units[j].globalVictim })
-	if p.strict {
-		// Report the earliest genuine failure in cluster order, exactly as
-		// the serial loop did; skip casualties of our own fail-fast cancel.
-		var firstAny error
-		for _, su := range units {
-			if su.res == nil || su.res.err == nil {
-				continue
-			}
-			if !errors.Is(su.res.err, context.Canceled) {
-				return nil, su.res.err
-			}
-			if firstAny == nil {
-				firstAny = su.res.err
-			}
-		}
-		if firstAny != nil {
-			return nil, firstAny
-		}
-	}
-	if serr != nil {
-		// An ingest failure: a typed parse or frontier error, or the echo of
-		// our own fail-fast cancellation (whose cause was returned above).
-		return nil, serr
-	}
-
-	// The materialized engine clamps the worker count against the cluster
-	// total before starting the pool; streaming cannot know the total up
-	// front, so the same clamp is reproduced at report time.
-	reportWorkers := workers
-	if reportWorkers > len(units) {
-		reportWorkers = len(units)
-	}
-	if reportWorkers < 1 {
-		reportWorkers = 1
-	}
-
-	// Pruned-population statistics in victim order, mirroring
-	// prune.ComputeStats (integer-valued sums, so order is moot — the float
-	// bits still come out identical).
-	stats := prune.Stats{
-		RawClusters: ing.rawClusters,
-		RawMeanSize: ing.rawMeanSum,
-		RawMaxSize:  ing.rawMax,
-	}
-	if stats.RawClusters > 0 {
-		stats.RawMeanSize /= float64(stats.RawClusters)
-	}
-	for _, su := range units {
-		stats.PrunedClusters++
-		stats.PrunedMeanSize += float64(su.size)
-		if su.size > stats.PrunedMaxSize {
-			stats.PrunedMaxSize = su.size
-		}
-	}
-	if stats.PrunedClusters > 0 {
-		stats.PrunedMeanSize /= float64(stats.PrunedClusters)
-	}
-
-	rep := &Report{
-		DesignName: ing.name,
-		NetCount:   ing.netCount,
-		Prune: PruneSummary{
-			RawMeanClusterNets:    stats.RawMeanSize,
-			RawMaxClusterNets:     stats.RawMaxSize,
-			PrunedMeanClusterNets: stats.PrunedMeanSize,
-			PrunedMaxClusterNets:  stats.PrunedMaxSize,
-			ClustersAnalyzed:      stats.PrunedClusters,
-		},
-	}
-	diag := &Diagnostics{Workers: reportWorkers, Strict: p.strict}
-	for _, su := range units {
-		r := su.res
-		if r == nil {
-			continue
-		}
-		rep.AnalyzedVictims++
-		diag.Clusters = append(diag.Clusters, r.outcome)
-		// Serial, victim-order merge — identical totals across serial,
-		// parallel and materialized runs.
-		col.MergeTrace(r.outcome.Victim, r.outcome.Stage.String(), r.trace)
-		if r.outcome.Err != nil {
-			diag.Unverified++
-		} else {
-			diag.Verified++
-			if r.outcome.Stage != StageReduced && r.outcome.Stage != StageScreened {
-				diag.Degraded++
-			}
-		}
-		if r.violation != nil {
-			rep.Violations = append(rep.Violations, *r.violation)
-		}
-	}
-	if !v.cfg.DisableScreening {
-		scr := &ScreeningSummary{
-			SafetyFactor: v.cfg.ScreenSafetyFactor,
-			MarginV:      v.cfg.GlitchThresholdFrac * Vdd,
-		}
-		for _, su := range units {
-			if su.res != nil && su.res.outcome.Stage == StageScreened {
-				scr.Screened++
-				scr.Clusters = append(scr.Clusters, ScreenedCluster{Victim: su.res.outcome.Victim, BoundV: su.res.outcome.ScreenBoundV})
-			}
-		}
-		rep.Screening = scr
-	}
-	diag.WallTime = time.Since(start) //xtlint:wallclock run-dependent diagnostic, excluded from report identity
-	v.recordCacheDeltas(cs, diag, col)
-	col.Add(obs.CtrNetsStreamed, int64(ing.netCount))
-	col.Add(obs.CtrClustersEmittedEager, ing.emitted)
-	col.Add(obs.CtrFrontierPeakNets, int64(ing.str.PeakLiveNets()))
-	if col != nil {
-		col.SetWorkers(reportWorkers)
-		col.SetWallTime(diag.WallTime)
-		diag.Metrics = col.Snapshot()
-	}
-	rep.Diagnostics = diag
-	sort.Slice(rep.Violations, func(i, j int) bool {
-		if rep.Violations[i].FracVdd != rep.Violations[j].FracVdd {
-			return rep.Violations[i].FracVdd > rep.Violations[j].FracVdd
-		}
-		return rep.Violations[i].Victim < rep.Violations[j].Victim
-	})
-	return rep, nil
+	span.End()
+	s.in.frontierPeak = s.str.PeakLiveNets()
+	return s.in, err
 }

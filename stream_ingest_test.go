@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"xtverify/internal/cells"
+	"xtverify/internal/deflite"
 	"xtverify/internal/design"
 	"xtverify/internal/extract"
+	"xtverify/internal/prune"
 )
 
 // streamBenchDSP is the acceptance design of the streaming-ingest work: the same
@@ -36,6 +38,24 @@ func streamReportText(t *testing.T, rep *Report) string {
 		t.Fatal(err)
 	}
 	return b.String()
+}
+
+// checkPruneOracle asserts rep.Prune against prune.ComputeStats over v's
+// parasitics. The engine derives the summary from its own single clustering
+// pass, so ComputeStats is an independent oracle for it.
+func checkPruneOracle(t *testing.T, mode string, rep *Report, v *Verifier) {
+	t.Helper()
+	st := prune.ComputeStats(v.par, v.pruneOptions())
+	want := PruneSummary{
+		RawMeanClusterNets:    st.RawMeanSize,
+		RawMaxClusterNets:     st.RawMaxSize,
+		PrunedMeanClusterNets: st.PrunedMeanSize,
+		PrunedMaxClusterNets:  st.PrunedMaxSize,
+		ClustersAnalyzed:      st.PrunedClusters,
+	}
+	if rep.Prune != want {
+		t.Errorf("%s run: Report.Prune = %+v, prune.ComputeStats gives %+v", mode, rep.Prune, want)
+	}
 }
 
 // TestStreamReportIdentityDSP is the tentpole acceptance test: a streamed
@@ -74,6 +94,7 @@ func TestStreamReportIdentityDSP(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := streamReportText(t, mrep)
+			checkPruneOracle(t, "materialized", mrep, mv)
 			if mrep.Prune.ClustersAnalyzed < 100 {
 				t.Fatalf("bench design yields only %d clusters; the identity check needs a real population", mrep.Prune.ClustersAnalyzed)
 			}
@@ -95,6 +116,7 @@ func TestStreamReportIdentityDSP(t *testing.T) {
 				if got := streamReportText(t, srep); got != want {
 					t.Fatalf("streamed run %d report differs from materialized:\n--- streamed\n%s\n--- materialized\n%s", i, got, want)
 				}
+				checkPruneOracle(t, "streamed", srep, mv)
 			}
 		})
 	}
@@ -226,6 +248,18 @@ func TestStreamStrictFailFast(t *testing.T) {
 	}
 }
 
+// testNet is a driven, received single-segment metal-2 net at height y.
+func testNet(name string, y float64) *design.Net {
+	drv, _ := cells.ByName("BUF_X2")
+	rcv, _ := cells.ByName("INV_X1")
+	return &design.Net{
+		Name:      name,
+		Drivers:   []design.Pin{{Inst: "D" + name, Cell: drv, Pin: "Z", PosX: 0, PosY: y}},
+		Receivers: []design.Pin{{Inst: "R" + name, Cell: rcv, Pin: "A", PosX: 50, PosY: y}},
+		Route:     []design.Segment{{Layer: 2, X0: 0, Y0: y, X1: 50, Y1: y, Width: 0.6}},
+	}
+}
+
 // descendingSource streams nets bottom-up — the frontier invariant's
 // canonical violation.
 type descendingSource struct{}
@@ -234,21 +268,93 @@ func (descendingSource) Stream(ctx context.Context, sink StreamSink) error {
 	if err := sink.StartDesign("descending"); err != nil {
 		return err
 	}
-	drv, _ := cells.ByName("BUF_X2")
-	rcv, _ := cells.ByName("INV_X1")
 	for i := 0; i < 4; i++ {
-		y := float64(3-i) * 100 // 300, 200, 100, 0: strictly descending
-		n := &design.Net{
-			Name:      fmt.Sprintf("d%d", i),
-			Drivers:   []design.Pin{{Inst: fmt.Sprintf("D%d", i), Cell: drv, Pin: "Z", PosX: 0, PosY: y}},
-			Receivers: []design.Pin{{Inst: fmt.Sprintf("R%d", i), Cell: rcv, Pin: "A", PosX: 50, PosY: y}},
-			Route:     []design.Segment{{Layer: 2, X0: 0, Y0: y, X1: 50, Y1: y, Width: 0.6}},
-		}
-		if err := sink.AddNet(n); err != nil {
+		// 300, 200, 100, 0: strictly descending
+		if err := sink.AddNet(testNet(fmt.Sprintf("d%d", i), float64(3-i)*100)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// lateDuplicateSource streams nets up the die 100 µm apart and then repeats
+// the first net's name, by which time the first occurrence has long retired
+// from the frontier and its component has closed.
+type lateDuplicateSource struct{}
+
+func (lateDuplicateSource) Stream(ctx context.Context, sink StreamSink) error {
+	if err := sink.StartDesign("latedup"); err != nil {
+		return err
+	}
+	for i := 0; i < 6; i++ {
+		if err := sink.AddNet(testNet(fmt.Sprintf("n%d", i), float64(i)*100)); err != nil {
+			return err
+		}
+	}
+	return sink.AddNet(testNet("n0", 600))
+}
+
+// wantDuplicateNet asserts err is the typed duplicate-net-name error.
+func wantDuplicateNet(t *testing.T, err error) {
+	t.Helper()
+	var pe *deflite.ParseError
+	if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "duplicate net") {
+		t.Fatalf("err = %v, want a *deflite.ParseError for the duplicate net name", err)
+	}
+}
+
+// TestStreamLateDuplicateNet: a duplicate whose first occurrence retired
+// long before it arrived must still fail the streamed run, not stream
+// through as a second, unrelated net.
+func TestStreamLateDuplicateNet(t *testing.T) {
+	sv, err := NewStreamVerifier(lateDuplicateSource{}, Config{Model: FixedResistance, StreamFrontierSlackUM: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sv.RunContext(context.Background())
+	if rep != nil {
+		t.Errorf("late duplicate produced a report (%d nets)", rep.NetCount)
+	}
+	wantDuplicateNet(t, err)
+}
+
+// TestDEFDuplicateNetTyped renames one NETS entry to its neighbour's name:
+// materialized construction and a streamed run must both refuse it with the
+// typed error instead of panicking.
+func TestDEFDuplicateNetTyped(t *testing.T) {
+	var def bytes.Buffer
+	if err := engineVerifier(t, Config{}).WriteDEF(&def); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(def.String(), "\n")
+	var prev string
+	inNets := false
+	for i, line := range lines {
+		if strings.HasPrefix(line, "NETS ") {
+			inNets = true
+			continue
+		}
+		if !inNets || !strings.HasPrefix(line, "- ") {
+			continue
+		}
+		name := strings.Fields(line)[1]
+		if prev != "" {
+			lines[i] = strings.Replace(line, name, prev, 1)
+			break
+		}
+		prev = name
+	}
+	dup := strings.Join(lines, "\n")
+
+	_, err := NewVerifierFromDEF(strings.NewReader(dup), Config{Model: FixedResistance})
+	wantDuplicateNet(t, err)
+
+	sv, err := NewVerifierFromDEF(strings.NewReader(dup), Config{Model: FixedResistance, StreamIngest: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sv.RunContext(context.Background())
+	wantDuplicateNet(t, err)
 }
 
 // TestStreamFrontierViolation checks that out-of-order input surfaces the

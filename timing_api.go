@@ -38,22 +38,10 @@ func (v *Verifier) RunTimingImpactContext(ctx context.Context, rising bool) ([]T
 	if err := v.requireMaterialized("RunTimingImpact"); err != nil {
 		return nil, err
 	}
-	pOpt := prune.Options{
-		CapRatioThreshold: v.cfg.CapRatioThreshold,
-		MinCouplingF:      0.5e-15,
-		UseTimingWindows:  v.cfg.UseTimingWindows,
-		MaxAggressors:     v.cfg.MaxAggressors,
-	}
-	clusters := prune.Clusters(v.par, pOpt)
-	eng := glitch.NewEngine(v.par, glitch.Options{
-		Model:               v.cfg.Model.kind(),
-		FixedOhms:           v.cfg.FixedOhms,
-		Order:               v.cfg.ReducedOrder,
-		UseTimingWindows:    v.cfg.UseTimingWindows,
-		UseLogicCorrelation: v.cfg.UseLogicCorrelation,
-		DisablePrepared:     v.cfg.DisablePreparedTransients,
-		TEnd:                8e-9,
-	})
+	clusters := prune.Clusters(v.par, v.pruneOptions())
+	opts := v.baseGlitchOptions()
+	opts.TEnd = 8e-9
+	eng := glitch.NewEngine(v.par, opts)
 	impacts, err := eng.TimingImpactReportContext(ctx, clusters, rising)
 	if err != nil {
 		return nil, err
@@ -83,22 +71,10 @@ func (v *Verifier) RefineTimingWindows(ctx context.Context) (int, error) {
 	if err := v.requireMaterialized("RefineTimingWindows"); err != nil {
 		return 0, err
 	}
-	pOpt := prune.Options{
-		CapRatioThreshold: v.cfg.CapRatioThreshold,
-		MinCouplingF:      0.5e-15,
-		UseTimingWindows:  v.cfg.UseTimingWindows,
-		MaxAggressors:     v.cfg.MaxAggressors,
-	}
-	clusters := prune.Clusters(v.par, pOpt)
-	eng := glitch.NewEngine(v.par, glitch.Options{
-		Model:               v.cfg.Model.kind(),
-		FixedOhms:           v.cfg.FixedOhms,
-		Order:               v.cfg.ReducedOrder,
-		UseTimingWindows:    v.cfg.UseTimingWindows,
-		UseLogicCorrelation: v.cfg.UseLogicCorrelation,
-		DisablePrepared:     v.cfg.DisablePreparedTransients,
-		TEnd:                8e-9,
-	})
+	clusters := prune.Clusters(v.par, v.pruneOptions())
+	opts := v.baseGlitchOptions()
+	opts.TEnd = 8e-9
+	eng := glitch.NewEngine(v.par, opts)
 	impacts, err := eng.TimingImpactWorstEdge(ctx, clusters)
 	if err != nil {
 		return 0, err

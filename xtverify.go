@@ -387,9 +387,9 @@ type Verifier struct {
 	des *design.Design
 	par *extract.Parasitics
 	// src, when non-nil, marks a streaming verifier (Config.StreamIngest):
-	// des and par stay nil and runEngine routes to runStreamEngine, which
-	// ingests nets from src on every run. APIs that need the materialized
-	// design guard with requireMaterialized.
+	// des and par stay nil, and runEngine feeds its worker pool from the
+	// streamed front end, which ingests nets from src on every run. APIs
+	// that need the materialized design guard with requireMaterialized.
 	src StreamSource
 	// faultHook, when set (tests only), is invoked before each cluster
 	// attempt and may inject an error or panic to exercise the ladder.
